@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
-from repro.asr.relation import Relation
+from repro.asr.relation import IndexedRelation, Relation
 from repro.context import resolve_buffer
 from repro.errors import RelationError, StorageError
 from repro.gom.database import ObjectBase
@@ -285,8 +285,11 @@ class AccessSupportRelation:
             db, path, Extension.FULL, Decomposition.binary(path.m))
 
     The undecomposed extension is kept as the logical source of truth
-    (``self.extension_relation``); each partition stores its projection
-    with reference counts, in two clustered B+ trees.
+    (``self.extension_relation``, an
+    :class:`~repro.asr.relation.IndexedRelation` whose cell postings let
+    maintenance find the rows through an anchor without a scan); each
+    partition stores its projection with reference counts, in two
+    clustered B+ trees.
     """
 
     def __init__(
@@ -308,7 +311,7 @@ class AccessSupportRelation:
         #: transitions, query layers only read it.
         self.state = ASRState.CONSISTENT
         labels = path.column_labels()
-        self.extension_relation = Relation(labels)
+        self.extension_relation = IndexedRelation(labels)
         self.partitions: list[StoredPartition] = [
             StoredPartition(i, j, labels[i : j + 1], page_size, oid_size)
             for i, j in self.decomposition.partitions
@@ -348,10 +351,10 @@ class AccessSupportRelation:
         the per-partition bulk loads (each partition owns its trees, so
         the loads are independent).
         """
-        self.extension_relation = build_extension(
-            db, self.path, self.extension, workers=workers
+        self.extension_relation = IndexedRelation.adopt(
+            build_extension(db, self.path, self.extension, workers=workers)
         )
-        rows = self.extension_relation.rows
+        rows = self.extension_relation
         if workers is not None and workers > 1 and len(self.partitions) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -453,6 +456,8 @@ class AccessSupportRelation:
             f"ASR drifted from object base: missing={sorted(missing, key=row_key)[:5]} "
             f"spurious={sorted(spurious, key=row_key)[:5]}"
         )
+        drift = actual.postings_drift()
+        assert not drift, f"extension postings drifted at cells {drift[:5]}"
         for partition in self.partitions:
             expected_counts: Counter = Counter()
             for row in expected.rows:

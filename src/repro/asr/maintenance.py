@@ -5,8 +5,10 @@ updates; this module supplies the *algorithm*: translate every change
 event into a set of **dirty anchors** — ``(type index, cell)`` pairs whose
 surrounding paths may have changed — then
 
-1. select the currently stored extension rows passing through any anchor
-   (or containing a deleted OID) — the *old* neighbourhood;
+1. look up, in the stored extension's cell postings, the rows passing
+   through any anchor (or containing a deleted OID) — the *old*
+   neighbourhood, at a cost of O(rows through the anchors) rather than
+   O(|ASR|);
 2. recompute, from the post-update object graph, all extension rows
    passing through each live anchor (``rows_through``: backward-maximal ×
    forward-maximal path segments, filtered by the extension's rules) —
@@ -29,9 +31,9 @@ the ``I_l`` / ``I_r`` materialization of section 6.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.asr.extensions import Extension
+from repro.asr.relation import IndexedRelation
 from repro.gom.database import ObjectBase
 from repro.gom.events import (
     AttributeSet,
@@ -248,23 +250,23 @@ def neighbourhood_delta(
     db: ObjectBase,
     path: PathExpression,
     extension: Extension,
-    current_rows: Iterable[tuple[Cell, ...]],
+    relation: IndexedRelation,
     region: DirtyRegion,
 ) -> tuple[set[tuple[Cell, ...]], set[tuple[Cell, ...]]]:
-    """The ``(added, removed)`` extension rows induced by ``region``."""
+    """The ``(added, removed)`` extension rows induced by ``region``.
+
+    ``relation`` is the stored extension; its postings yield the old
+    neighbourhood, so the cost is proportional to the rows through the
+    anchors, not to the size of the relation.
+    """
     if not region:
         return set(), set()
-    anchor_columns: list[tuple[int, Cell]] = [
-        (path.column_of(i), cell) for i, cell in region.anchors
-    ]
+    old_rows: set[tuple[Cell, ...]] = set()
+    for i, cell in region.anchors:
+        old_rows.update(relation.rows_with(path.column_of(i), cell))
     dead = region.dead
-
-    def touches(row: tuple[Cell, ...]) -> bool:
-        if dead and any(cell in dead for cell in row if isinstance(cell, OID)):
-            return True
-        return any(row[column] == cell for column, cell in anchor_columns)
-
-    old_rows = {row for row in current_rows if touches(row)}
+    for oid in dead:
+        old_rows.update(relation.rows_containing(oid))
     new_rows: set[tuple[Cell, ...]] = set()
     for i, cell in region.anchors:
         new_rows |= rows_through(db, path, i, cell, extension)

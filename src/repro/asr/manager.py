@@ -755,9 +755,8 @@ class ASRManager:
                     if partitions is None:
                         asr.rebuild(self.db)
                     else:
-                        rows = asr.extension_relation.rows
                         for partition in partitions:
-                            partition.load_from_extension(rows)
+                            partition.load_from_extension(asr.extension_relation)
                 except SimulatedCrash:
                     self._mark_quarantined(asr)
                     raise

@@ -14,7 +14,7 @@ makes the chained outer joins compute maximal partial paths.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -218,6 +218,101 @@ class Relation:
         if len(body_rows) > limit:
             lines.append(f"... ({len(body_rows) - limit} more rows)")
         return "\n".join(lines)
+
+
+class IndexedRelation(Relation):
+    """A relation that also keeps a postings map ``cell → rows``.
+
+    Every non-NULL cell maps to the rows containing it (in any column,
+    each row listed once per bucket), kept current by :meth:`add` and
+    :meth:`discard`.  Incremental maintenance uses it to find the stored
+    rows through an anchor cell in O(bucket) instead of scanning the
+    whole relation.  Buckets are keyed by dict equality, so cells that
+    compare equal (``1``, ``True``, ``1.0``) share one bucket;
+    :meth:`rows_with` filters by column with ``==``.  NULL is never a
+    posting key.  Algebra operators still return plain relations.
+    """
+
+    __slots__ = ("_postings",)
+
+    def __init__(
+        self, columns: Sequence[str], rows: Iterable[tuple[Cell, ...]] = ()
+    ) -> None:
+        self._postings: dict[Cell, list[tuple[Cell, ...]]] = {}
+        super().__init__(columns, rows)
+
+    @classmethod
+    def adopt(cls, relation: Relation) -> "IndexedRelation":
+        """Take over ``relation``'s row set and index it in one pass.
+
+        ``relation`` must not be used afterwards: the two share rows.
+        """
+        indexed = cls(relation.columns)
+        indexed._rows = relation._rows
+        indexed._postings = _postings_of(indexed._rows)
+        return indexed
+
+    def add(self, row: tuple[Cell, ...]) -> None:
+        row = tuple(row)
+        if row not in self._rows:
+            super().add(row)
+            _post(self._postings, row)
+
+    def discard(self, row: tuple[Cell, ...]) -> None:
+        row = tuple(row)
+        if row not in self._rows:
+            return
+        self._rows.remove(row)
+        postings = self._postings
+        for cell in set(row):
+            if cell is NULL:
+                continue
+            bucket = postings[cell]
+            bucket.remove(row)
+            if not bucket:
+                del postings[cell]
+
+    def rows_containing(self, cell: Cell) -> Sequence[tuple[Cell, ...]]:
+        """Every row with a cell equal to ``cell``, in any column."""
+        return self._postings.get(cell, ())
+
+    def rows_with(self, column: int, cell: Cell) -> list[tuple[Cell, ...]]:
+        """Rows whose ``column`` equals ``cell`` (``==``, as :meth:`select`)."""
+        return [row for row in self._postings.get(cell, ()) if row[column] == cell]
+
+    def postings_drift(self) -> list[Cell]:
+        """Cells whose bucket differs from an index rebuilt from the rows.
+
+        Empty when the postings are consistent; a bucket listing a row
+        twice counts as drift.
+        """
+        expected = _postings_of(self._rows)
+        actual = self._postings
+        return [
+            cell
+            for cell in expected.keys() | actual.keys()
+            if Counter(actual.get(cell, ())) != Counter(expected.get(cell, ()))
+        ]
+
+
+def _post(postings: dict[Cell, list[tuple[Cell, ...]]], row: tuple[Cell, ...]) -> None:
+    """Append ``row`` to the bucket of each of its distinct non-NULL cells."""
+    for cell in row:
+        if cell is NULL:
+            continue
+        bucket = postings.get(cell)
+        if bucket is None:
+            postings[cell] = [row]
+        elif bucket[-1] is not row:
+            # A cell repeated in this row finds the row already appended.
+            bucket.append(row)
+
+
+def _postings_of(rows: Iterable[tuple[Cell, ...]]) -> dict[Cell, list[tuple[Cell, ...]]]:
+    postings: dict[Cell, list[tuple[Cell, ...]]] = {}
+    for row in rows:
+        _post(postings, row)
+    return postings
 
 
 def _sort_key(cell: Cell) -> tuple:

@@ -8,10 +8,12 @@ queries, no partial ranges — which is precisely the limitation access
 support relations remove.
 
 The implementation reuses this library's maintenance machinery: the
-index keeps the canonical extension as its logical source of truth
-(so :class:`~repro.asr.manager.ASRManager` can drive it through
-``apply_delta`` exactly like an ASR) and stores the reference-counted
-``(value, anchor)`` pairs in one B+ tree clustered on the values.
+index keeps the canonical extension as its logical source of truth, in
+the same indexed relation an ASR uses (so
+:class:`~repro.asr.manager.ASRManager` can drive it through
+``neighbourhood_delta`` and ``apply_delta`` exactly like an ASR), and
+stores the reference-counted ``(value, anchor)`` pairs in one B+ tree
+clustered on the values.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable
 from repro.asr.asr import cell_key
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
+from repro.asr.relation import IndexedRelation
 from repro.context import resolve_buffer
 from repro.errors import PathError
 from repro.gom.database import ObjectBase
@@ -61,9 +64,7 @@ class NestedAttributeIndex:
         # (value, anchor) pairs: ~2 cells per entry.
         self.pairs_per_page = page_size // (2 * oid_size)
         self._fanout = btree_fanout(page_size=page_size, oid_size=oid_size)
-        from repro.asr.relation import Relation
-
-        self.extension_relation = Relation(path.column_labels())
+        self.extension_relation = IndexedRelation(path.column_labels())
         self._counts: Counter[tuple[Cell, Cell]] = Counter()
         self.tree = BPlusTree(self.pairs_per_page, self._fanout)
         #: Crash-consistency state, mirrored from the ASR interface so
@@ -84,9 +85,11 @@ class NestedAttributeIndex:
 
     def rebuild(self, db: ObjectBase) -> None:
         """Recompute from scratch (initial load)."""
-        self.extension_relation = build_extension(db, self.path, Extension.CANONICAL)
+        self.extension_relation = IndexedRelation.adopt(
+            build_extension(db, self.path, Extension.CANONICAL)
+        )
         counts: Counter[tuple[Cell, Cell]] = Counter()
-        for row in self.extension_relation.rows:
+        for row in self.extension_relation:
             counts[(row[-1], row[0])] += 1
         self._counts = counts
         entries = sorted(
@@ -203,6 +206,8 @@ class NestedAttributeIndex:
         assert expected_rows == self.extension_relation.rows, (
             "nested index's canonical extension drifted"
         )
+        drift = self.extension_relation.postings_drift()
+        assert not drift, f"nested index's extension postings drifted at {drift[:5]}"
         expected_pairs: Counter = Counter()
         for row in expected_rows:
             expected_pairs[(row[-1], row[0])] += 1

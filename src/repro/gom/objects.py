@@ -8,7 +8,7 @@ their identity — so atomic values appear directly wherever an OID could.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import total_ordering
 from typing import Any, Union
 
@@ -16,7 +16,6 @@ from repro.gom.types import NULL, Null
 
 
 @total_ordering
-@dataclass(frozen=True)
 class OID:
     """A system-generated object identifier.
 
@@ -24,12 +23,40 @@ class OID:
     opaque, hashable, totally ordered handles (ordering is needed because
     OIDs serve as B+ tree keys).  The repr ``i42`` matches the paper's
     ``i0, i1, ...`` notation.
+
+    Instances are immutable and compare by value, never equal to a bare
+    integer.  The hash is ``hash((value,))``, computed once: OIDs are
+    hashed inside every stored row, and keeping that exact hash keeps set
+    iteration orders (and hence bulk-built tree shapes) stable.
     """
+
+    __slots__ = ("value", "_hash")
 
     value: int
 
+    def __init__(self, value: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((value,)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (OID, (self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"i{self.value}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is OID:
+            return self.value == other.value
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, OID):

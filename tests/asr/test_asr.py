@@ -151,6 +151,18 @@ class TestAccessSupportRelation:
         asr.rebuild(db)
         asr.consistency_check(db)
 
+    def test_postings_drift_fails_the_check(self, company_world):
+        db, path, o = company_world
+        asr = AccessSupportRelation.build(
+            db, path, Extension.FULL, Decomposition.binary(path.m)
+        )
+        assert asr.extension_relation.rows_containing(o["door"])
+        del asr.extension_relation._postings[o["door"]]
+        with pytest.raises(AssertionError, match="postings"):
+            asr.consistency_check(db)
+        asr.rebuild(db)
+        asr.consistency_check(db)
+
     def test_total_bytes_and_pages(self, company_world):
         db, path, _o = company_world
         asr = AccessSupportRelation.build(

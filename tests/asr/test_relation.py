@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asr.relation import JoinKind, Relation, fold_join, fold_join_right
+from repro.asr.relation import (
+    IndexedRelation,
+    JoinKind,
+    Relation,
+    fold_join,
+    fold_join_right,
+)
 from repro.errors import RelationError
 from repro.gom.objects import OID
 from repro.gom.types import NULL
@@ -185,3 +191,101 @@ def test_natural_join_associative(r1, r2, r3):
     assert left_first.rows == right_first.rows
     assert fold_join([a, b, c], JoinKind.NATURAL).rows == left_first.rows
     assert fold_join_right([a, b, c], JoinKind.NATURAL).rows == left_first.rows
+
+
+# ----------------------------------------------------------------------
+# indexed relations: cell postings against the linear predicate
+# ----------------------------------------------------------------------
+
+
+class TestIndexedRelation:
+    def test_lookup_by_column(self):
+        r = IndexedRelation(["x", "y", "z"], [(A, B, C), (B, A, NULL), (A, A, D)])
+        assert set(r.rows_with(0, A)) == {(A, B, C), (A, A, D)}
+        assert set(r.rows_with(1, A)) == {(B, A, NULL), (A, A, D)}
+        assert r.rows_with(2, A) == []
+        assert set(r.rows_containing(A)) == {(A, B, C), (B, A, NULL), (A, A, D)}
+
+    def test_repeated_cell_posted_once(self):
+        r = IndexedRelation(["x", "y"], [(A, A)])
+        assert list(r.rows_containing(A)) == [(A, A)]
+        r.discard((A, A))
+        assert r.rows_containing(A) == ()
+        assert r.postings_drift() == []
+
+    def test_null_is_not_a_posting_key(self):
+        r = IndexedRelation(["x", "y"], [(A, NULL)])
+        assert r.rows_containing(NULL) == ()
+        assert r.rows_with(1, NULL) == []
+
+    def test_equal_keys_share_a_bucket(self):
+        r = IndexedRelation(["x", "y"], [(A, 1), (B, True), (C, 1.0)])
+        assert set(r.rows_with(1, True)) == {(A, 1), (B, True), (C, 1.0)}
+        r.discard((B, 1))  # equal to the stored (B, True)
+        assert set(r.rows_with(1, 1.0)) == {(A, 1), (C, 1.0)}
+        assert r.postings_drift() == []
+
+    def test_adopt_indexes_and_shares_rows(self):
+        plain = Relation(["x", "y"], [(A, B), (B, C)])
+        indexed = IndexedRelation.adopt(plain)
+        assert indexed == plain
+        assert set(indexed.rows_containing(B)) == {(A, B), (B, C)}
+        assert indexed.postings_drift() == []
+
+    def test_drift_detected(self):
+        r = IndexedRelation(["x", "y"], [(A, B)])
+        r._rows.add((C, D))  # bypasses the postings
+        assert set(r.postings_drift()) == {C, D}
+
+    def test_arity_checked(self):
+        with pytest.raises(RelationError):
+            IndexedRelation(["x", "y"]).add((A,))
+
+
+#: A small pool, so cells repeat across columns; 1, True and 1.0 are
+#: three spellings of one dict key.
+indexed_cells = st.sampled_from([NULL, A, B, C, 1, True, 1.0, 2, "s"])
+indexed_rows = st.tuples(indexed_cells, indexed_cells, indexed_cells)
+edits = st.lists(st.tuples(st.booleans(), indexed_rows), max_size=40)
+PROBES = [A, B, C, D, 1, True, 1.0, 2, "s", "t"]
+
+
+def linear_touches(rows, anchors, dead):
+    """The full scan maintenance used before postings: the oracle."""
+
+    def touches(row):
+        if dead and any(cell in dead for cell in row if isinstance(cell, OID)):
+            return True
+        return any(row[column] == cell for column, cell in anchors)
+
+    return {row for row in rows if touches(row)}
+
+
+@settings(max_examples=300)
+@given(edits, st.lists(st.tuples(st.integers(0, 2), st.sampled_from(PROBES)), max_size=4),
+       st.frozensets(st.sampled_from([A, B, C, D]), max_size=2))
+def test_postings_match_linear_predicate(operations, anchors, dead):
+    indexed = IndexedRelation(["x", "y", "z"])
+    model: set = set()
+    for insert, row in operations:
+        if insert:
+            indexed.add(row)
+            model.add(row)
+        else:
+            indexed.discard(row)
+            model.discard(row)
+    assert indexed.rows == model
+    assert indexed.postings_drift() == []
+    assert IndexedRelation.adopt(Relation(indexed.columns, model)).postings_drift() == []
+    for column in range(3):
+        for cell in PROBES:
+            found = indexed.rows_with(column, cell)
+            assert len(found) == len(set(found))
+            assert set(found) == linear_touches(model, [(column, cell)], frozenset())
+    for oid in (A, B, C, D):
+        found = indexed.rows_containing(oid)
+        assert len(found) == len(set(found))
+        assert set(found) == linear_touches(model, [], {oid})
+    looked_up = {row for column, cell in anchors for row in indexed.rows_with(column, cell)}
+    looked_up |= {row for oid in dead for row in indexed.rows_containing(oid)}
+    assert looked_up == linear_touches(model, anchors, dead)

@@ -75,6 +75,14 @@ class TestNestedAttributeIndex:
         db.delete(o["sec"])
         index.consistency_check(db)
 
+    def test_postings_drift_fails_the_check(self, company_world):
+        db, path, o = company_world
+        index = NestedAttributeIndex.build(db, path)
+        assert index.extension_relation.rows_containing(o["door"])
+        del index.extension_relation._postings[o["door"]]
+        with pytest.raises(AssertionError, match="postings"):
+            index.consistency_check(db)
+
     def test_matches_traversal_after_random_stream(self, small_chain):
         import random
 
