@@ -63,6 +63,8 @@ class _KeyBound:
 
 BOTTOM = _KeyBound("BOTTOM", -1)
 TOP = _KeyBound("TOP", 5)
+#: A row-key bound above every real row key (its first cell is TOP).
+_ROW_TOP = (TOP.key,)
 
 
 def cell_key(cell: Cell) -> tuple:
@@ -235,11 +237,11 @@ class StoredPartition:
 
     def lookup_forward(self, cell: Cell, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
         """All rows whose first column equals ``cell`` (forward clustering)."""
-        return self._prefix_scan(self.forward_tree, cell, resolve_buffer(context, buffer))
+        return self._prefix_read(self.forward_tree, cell, resolve_buffer(context, buffer))
 
     def lookup_backward(self, cell: Cell, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
         """All rows whose last column equals ``cell`` (backward clustering)."""
-        return self._prefix_scan(self.backward_tree, cell, resolve_buffer(context, buffer))
+        return self._prefix_read(self.backward_tree, cell, resolve_buffer(context, buffer))
 
     def lookup_backward_range(
         self, lo: Cell, hi: Cell, context=None, *, buffer=None
@@ -251,29 +253,28 @@ class StoredPartition:
         range scan over the values — e.g. all paths reaching a ``Price``
         between two bounds.
         """
-        results = []
-        for _key, value in self.backward_tree.range(
-            lo=(cell_key(lo), ()),
-            hi=(cell_key(hi), ()),
-            context=resolve_buffer(context, buffer),
-        ):
-            results.append(value)
-        return results
+        return self.backward_tree.values_between(
+            (cell_key(lo), ()), (cell_key(hi), ()), resolve_buffer(context, buffer)
+        )
 
     @staticmethod
-    def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
+    def _prefix_read(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
+        # Tree keys are (cell key, row key); (prefix, ()) sorts below and
+        # (prefix, (TOP.key,)) above every row key under that prefix.
         prefix = cell_key(cell)
-        results = []
-        for key, value in tree.range(lo=(prefix, ()), context=buffer):
-            if key[0] != prefix:
-                break
-            results.append(value)
-        return results
+        return tree.values_between((prefix, ()), (prefix, _ROW_TOP), buffer)
 
     def scan(self, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
         """Read every row, charging all data pages (exhaustive inspection)."""
-        buffer = resolve_buffer(context, buffer)
-        return [value for _, value in self.forward_tree.range(context=buffer)]
+        return self.forward_tree.values_between(context=resolve_buffer(context, buffer))
+
+    def scan_where(self, offset: int, frontier, context=None) -> list[tuple[Cell, ...]]:
+        """Rows whose cell at ``offset`` is in ``frontier``, by a full scan.
+
+        Serves an endpoint strictly inside the partition: no clustering
+        helps, so every data page is charged (second sums of Eqs. 33/34).
+        """
+        return self.forward_tree.values_where(offset, frontier, context)
 
 
 class AccessSupportRelation:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.asr.asr import cell_key
+from repro.asr.asr import TOP, cell_key
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
 from repro.asr.relation import IndexedRelation
@@ -152,24 +152,18 @@ class NestedAttributeIndex:
 
     def lookup(self, value: Cell, context=None, *, buffer=None) -> set[OID]:
         """Anchors whose path reaches ``value`` — one index probe."""
-        buffer = resolve_buffer(context, buffer)
         prefix = cell_key(value)
-        anchors: set[OID] = set()
-        for key, (_value, anchor) in self.tree.range(lo=(prefix, ()), context=buffer):
-            if key[0] != prefix:
-                break
-            anchors.add(anchor)
-        return anchors
+        pairs = self.tree.values_between(
+            (prefix, ()), (prefix, TOP.key), resolve_buffer(context, buffer)
+        )
+        return {anchor for _value, anchor in pairs}
 
     def lookup_range(self, lo: Cell, hi: Cell, context=None, *, buffer=None) -> set[OID]:
         """Anchors reaching any value in ``[lo, hi)`` (value clustering)."""
-        buffer = resolve_buffer(context, buffer)
-        anchors: set[OID] = set()
-        for _key, (_value, anchor) in self.tree.range(
-            lo=(cell_key(lo), ()), hi=(cell_key(hi), ()), context=buffer
-        ):
-            anchors.add(anchor)
-        return anchors
+        pairs = self.tree.values_between(
+            (cell_key(lo), ()), (cell_key(hi), ()), resolve_buffer(context, buffer)
+        )
+        return {anchor for _value, anchor in pairs}
 
     # ------------------------------------------------------------------
     # statistics / verification

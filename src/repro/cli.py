@@ -153,6 +153,7 @@ import sys
 from pathlib import Path
 
 from repro.asr import ASRManager, Decomposition, Extension
+from repro.concurrency import DEFAULT_MAX_SPANS
 from repro.context import ExecutionContext
 from repro.costmodel import (
     ApplicationProfile,
@@ -535,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-spans",
         type=int,
-        default=256,
+        default=DEFAULT_MAX_SPANS,
         help="per-context span-ring bound (long-lived workers stay bounded)",
     )
     serve.add_argument(

@@ -46,6 +46,9 @@ from repro.telemetry.tracing import current_trace
 
 __all__ = ["RWLock", "ContextPool", "ThreadLocalContexts"]
 
+#: Default per-context span-ring bound of pooled contexts.
+DEFAULT_MAX_SPANS = 256
+
 
 class RWLock:
     """A readers-writer lock with a reentrant writer and writer preference.
@@ -207,9 +210,11 @@ class ContextPool:
         target of :meth:`check_accounting` — the pool never pays for
         metrics on the touch path.
     max_spans:
-        Optional per-context span-trace bound, forwarded to every
-        acquired :class:`~repro.context.ExecutionContext` (long-lived
-        serve workers keep bounded memory; ``None`` keeps every span).
+        Per-context span-trace bound, forwarded to every acquired
+        :class:`~repro.context.ExecutionContext`: 256 by default (the
+        ``repro serve --max-spans`` default), so a long-lived worker's
+        trace memory does not grow with throughput; an explicit ``None``
+        keeps every span.
 
     Usage, one worker thread each::
 
@@ -246,7 +251,7 @@ class ContextPool:
         stats: AccessStats | None = None,
         fault_injector=None,
         metrics=None,
-        max_spans: int | None = None,
+        max_spans: int | None = DEFAULT_MAX_SPANS,
     ) -> None:
         if capacity < 1:
             raise ValueError("pool capacity must be at least one page")

@@ -87,7 +87,9 @@ def _null_pad_left(path: PathExpression, j: int) -> tuple[Cell, ...]:
 
 
 def _cell_sort_key(cell: Cell):
-    return (cell.value,) if isinstance(cell, OID) else (repr(cell),)
+    # Rank first, so OIDs and other cells (NULL list members) never
+    # compare an int against a str.
+    return (0, cell.value) if isinstance(cell, OID) else (1, repr(cell))
 
 
 def backward_rows(

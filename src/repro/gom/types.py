@@ -44,6 +44,12 @@ class Null:
     def __bool__(self) -> bool:
         return False
 
+    def __hash__(self) -> int:
+        # A constant, not the address-based default: the iteration order
+        # of row sets holding NULL (and so tree insert order and page
+        # counts) must not differ from one process to the next.
+        return 0x4E554C4C
+
     def __repr__(self) -> str:
         return "NULL"
 

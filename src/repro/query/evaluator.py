@@ -296,9 +296,7 @@ class QueryEvaluator:
                 # The query's origin lies strictly inside this partition:
                 # every page must be inspected (second sum of Eq. 33).
                 offset = first_column - a
-                rows = [
-                    row for row in partition.scan(buffer) if row[offset] in frontier
-                ]
+                rows = partition.scan_where(offset, frontier, buffer)
             else:
                 rows = [
                     row
@@ -354,9 +352,7 @@ class QueryEvaluator:
             if b > last_column:
                 # The query's target lies strictly inside this partition.
                 offset = last_column - a
-                rows = [
-                    row for row in partition.scan(buffer) if row[offset] in frontier
-                ]
+                rows = partition.scan_where(offset, frontier, buffer)
             else:
                 rows = [
                     row

@@ -106,6 +106,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import random
 import signal
 import sys
@@ -283,9 +284,13 @@ class ServeDaemon:
         )
         self._http_thread.start()
         if config.addr_file:
+            # Written aside and renamed into place, so a client polling
+            # for the file never reads it half written.
             host, port = self.address
-            with open(config.addr_file, "w", encoding="utf-8") as handle:
+            partial = f"{config.addr_file}.partial"
+            with open(partial, "w", encoding="utf-8") as handle:
                 handle.write(f"{host}:{port}\n")
+            os.replace(partial, config.addr_file)
         if config.serve.use_async:
             self._start_async_core()
         else:
@@ -551,6 +556,10 @@ class ServeDaemon:
     def run(self, out=None) -> int:
         """Serve until SIGINT/SIGTERM, then drain.  The CLI entry point."""
         out = out or sys.stdout
+        # Before start(): the address file is written and ops run from
+        # inside it, so a SIGTERM sent once the daemon answers must
+        # already find the draining handler, not the default one.
+        self._install_signal_handlers()
         self.start()
         host, port = self.address
         core = "async" if self.config.serve.use_async else "threaded"
@@ -562,7 +571,6 @@ class ServeDaemon:
             file=out,
             flush=True,
         )
-        self._install_signal_handlers()
         try:
             while not self._stop.wait(0.2):
                 pass

@@ -19,6 +19,18 @@ touched; mutating operations charge page writes for each node they dirty.
 Passing ``context=None`` performs the operation without accounting (the
 logical layer uses that).  The historical ``buffer=`` keyword is still
 accepted with a deprecation warning.
+
+Every multi-entry read shares one leaf walk (``_walk``): descend to the
+lower bound, then touch each leaf once, left to right, reporting the
+slice ``[start:end)`` of it that lies in range, and stop after the first
+leaf whose slice ends before the leaf does — i.e. the leaf holding the
+first key at or above the upper bound is read, as a textbook scan reads
+it.  The lazy :meth:`BPlusTree.range` iterates those slices entry by
+entry; the eager readers :meth:`BPlusTree.values_between` and
+:meth:`BPlusTree.values_where` copy or filter whole slices per leaf, so
+they touch exactly the pages ``range`` would and pay no per-entry
+generator step.  Eager readers resolve their charge target once, at call
+time; the lazy ``range`` resolves it per touch (see its docstring).
 """
 
 from __future__ import annotations
@@ -183,22 +195,54 @@ class BPlusTree:
         return self._range(lo, hi, buffer)
 
     def _range(self, lo: Any, hi: Any, buffer) -> Iterator[tuple[Any, Any]]:
+        for leaf, start, end in self._walk(lo, hi, buffer):
+            yield from zip(leaf.keys[start:end], leaf.values[start:end])
+
+    def values_between(self, lo: Any = None, hi: Any = None, context=None) -> list[Any]:
+        """The values of ``range(lo, hi)`` as a list, read a leaf at a time.
+
+        Charges exactly the pages a fully consumed :meth:`range` charges,
+        to the buffer current when this is called.
+        """
+        out: list[Any] = []
+        for leaf, start, end in self._walk(lo, hi, resolve_buffer(context)):
+            out += leaf.values[start:end]
+        return out
+
+    def values_where(self, column: int, wanted, context=None) -> list[Any]:
+        """Every value ``v`` in key order with ``v[column] in wanted``.
+
+        A full scan — every leaf is charged, as by an unbounded
+        :meth:`range` — that filters each leaf's values in one pass.
+        """
+        out: list[Any] = []
+        for leaf, _start, _end in self._walk(None, None, resolve_buffer(context)):
+            out += [value for value in leaf.values if value[column] in wanted]
+        return out
+
+    def _walk(self, lo: Any, hi: Any, buffer) -> Iterator[tuple[_Leaf, int, int]]:
+        """Yield ``(leaf, start, end)``: ``leaf.keys[start:end]`` is in range.
+
+        The one traversal behind every multi-entry read: interior pages
+        are charged on the descent to ``lo`` (or the leftmost leaf), each
+        leaf when the walk reaches it.  The walk stops after the first
+        leaf whose slice ends before the leaf does.
+        """
         if lo is None:
             leaf: _Leaf | None = self._leftmost_leaf(buffer)
-            index = 0
+            start = 0
         else:
             leaf = self._descend(lo, buffer)
-            index = bisect_left(leaf.keys, lo)
+            start = bisect_left(leaf.keys, lo)
         while leaf is not None:
             _touch(buffer, leaf, _LEAF_CATEGORY)
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if hi is not None and not key < hi:
-                    return
-                yield key, leaf.values[index]
-                index += 1
+            keys = leaf.keys
+            end = len(keys) if hi is None else bisect_left(keys, hi, start)
+            yield leaf, start, end
+            if end < len(keys):
+                return
             leaf = leaf.next
-            index = 0
+            start = 0
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         return self.range()

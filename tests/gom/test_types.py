@@ -1,10 +1,15 @@
 """Unit tests for the GOM type system."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import SchemaError
 from repro.gom.types import (
     BOOLEAN,
@@ -41,6 +46,28 @@ class TestNull:
         assert NULL == NULL
         assert NULL != 0
         assert NULL != ""
+
+    def test_row_set_order_repeats_across_processes(self):
+        # Tree insert order (and so page counts) follows the iteration
+        # order of row sets; an address-based NULL hash varied it.
+        script = (
+            "from repro.gom.objects import OID\n"
+            "from repro.gom.types import NULL\n"
+            "rows = {(OID(i), NULL if i % 3 else OID(i + 1), NULL, i % 5)"
+            " for i in range(64)}\n"
+            "print(list(rows))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        orders = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert "NULL" in orders[0]
+        assert orders[0] == orders[1]
 
 
 class TestAtomicTypes:

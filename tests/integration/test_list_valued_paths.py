@@ -10,7 +10,7 @@ import pytest
 from repro.asr import ASRManager, Decomposition, Extension, build_extension
 from repro.baselines import NestedAttributeIndex
 from repro.gom import NULL, ObjectBase, PathExpression, Schema
-from repro.gom.traversal import origins_reaching
+from repro.gom.traversal import forward_rows, origins_reaching
 from repro.query import BackwardQuery, QueryEvaluator
 
 
@@ -106,3 +106,42 @@ class TestListExtensions:
         db.list_append(lists[1], tracks[0])
         index.consistency_check(db)
         assert index.lookup("T0") == {playlists[0], playlists[1]}
+
+
+class TestNullListMembers:
+    """A NULL list member used to crash traversal (int vs str sort keys)."""
+
+    @pytest.fixture()
+    def robot_world(self):
+        schema = Schema()
+        schema.define_tuple("Part", {"Name": "STRING"})
+        schema.define_list("PartLIST", "Part")
+        schema.define_tuple("Robot", {"Parts": "PartLIST"})
+        schema.validate()
+        db = ObjectBase(schema)
+        parts = [db.new("Part", Name=f"p{i}") for i in range(4)]
+        part_list = db.new_list("PartLIST", [parts[0], NULL, parts[1]])
+        robot = db.new("Robot", Parts=part_list)
+        path = PathExpression.parse(schema, "Robot.Parts.Name")
+        return db, path, parts, part_list, robot
+
+    def test_forward_rows_cover_the_null_member(self, robot_world):
+        db, path, parts, part_list, robot = robot_world
+        assert forward_rows(db, path, 0, robot) == [
+            (robot, part_list, parts[0], "p0"),
+            (robot, part_list, parts[1], "p1"),
+            (robot, part_list, NULL, NULL),
+        ]
+
+    def test_append_and_remove_keep_every_extension_consistent(self, robot_world):
+        db, path, parts, part_list, robot = robot_world
+        manager = ASRManager(db)
+        for extension in Extension:
+            manager.create(path, extension, Decomposition.binary(path.m))
+        db.list_append(part_list, parts[2])
+        manager.check_consistency()
+        db.list_append(part_list, NULL)
+        manager.check_consistency()
+        db.delete(parts[0])  # drops its list membership
+        manager.check_consistency()
+        assert origins_reaching(db, path, "p2") == {robot}

@@ -174,3 +174,31 @@ class TestPageCosts:
         assert result.cells == origins_reaching(
             small_chain.db, path, small_chain.layers[path.n][0]
         )
+
+
+class TestStrictlyInsideEndpoints:
+    """An endpoint strictly inside a partition reads the whole partition."""
+
+    @pytest.mark.parametrize(
+        "make_query",
+        [
+            lambda g: ForwardQuery(g.path, 1, 2, start=g.layers[1][0]),
+            lambda g: BackwardQuery(g.path, 0, 2, target=g.layers[2][0]),
+        ],
+        ids=["Q1,2(fw)", "Q0,2(bw)"],
+    )
+    def test_charges_every_leaf_plus_the_leftmost_descent(self, chain, make_query):
+        generated, manager, evaluator = chain
+        path = generated.path
+        asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
+        (partition,) = asr.partitions
+        tree = partition.forward_tree
+        assert tree.leaf_count() > 1
+        query = make_query(generated)
+        result = evaluator.evaluate_supported(query, asr)
+        assert result.cells == evaluator.evaluate_unsupported(query).cells
+        assert result.detail == {
+            "btree_leaf": tree.leaf_count(),
+            "btree_interior": tree.interior_height,
+        }
+        assert result.page_reads == tree.leaf_count() + tree.interior_height

@@ -1,6 +1,7 @@
 """B+ tree: unit tests, invariants, and a hypothesis model-based test."""
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +204,108 @@ def test_model_based(ops, leaf_capacity, interior_capacity):
             assert list(tree.range(lo=lo, hi=hi)) == expected
         tree.check_invariants()
     assert list(tree.items()) == sorted(model.items())
+
+
+# ----------------------------------------------------------------------
+# hypothesis: the leaf-at-a-time readers equal the entry-at-a-time scan
+# ----------------------------------------------------------------------
+
+
+class RecordingBuffer:
+    """A charge target that records every ``(page_id, category)`` touch."""
+
+    def __init__(self):
+        self.touches = []
+
+    def touch(self, page_id, category="page"):
+        self.touches.append((page_id, category))
+        return True
+
+    def touch_write(self, page_id, category="page"):
+        return True
+
+
+def reference_scan(tree, lo, hi, buffer):
+    """The textbook scan, one entry at a time: the kernel's oracle.
+
+    Descends to ``lo`` (or the leftmost leaf), then follows the leaf chain
+    charging each leaf on arrival, until the first key at or above ``hi``.
+    """
+    node = tree._root
+    while not node.is_leaf:
+        buffer.touch(id(node), "btree_interior")
+        node = node.children[0 if lo is None else bisect_right(node.keys, lo)]
+    index = 0 if lo is None else bisect_left(node.keys, lo)
+    out = []
+    while node is not None:
+        buffer.touch(id(node), "btree_leaf")
+        while index < len(node.keys):
+            if hi is not None and not node.keys[index] < hi:
+                return out
+            out.append((node.keys[index], node.values[index]))
+            index += 1
+        node, index = node.next, 0
+    return out
+
+
+PREFIX_TOP = 99  # above every tie-break, so (p, PREFIX_TOP) closes prefix p
+
+tree_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 5)), max_size=120
+)
+bound = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 6))
+
+
+def build_tree(ops, leaf_capacity, interior_capacity):
+    tree = BPlusTree(leaf_capacity, interior_capacity)
+    for is_insert, prefix, tie in ops:
+        key = (prefix, tie)
+        if is_insert:
+            if tree.search(key) is MISSING:
+                tree.insert(key, (prefix, tie, (prefix * 7 + tie) % 3))
+        else:
+            tree.delete(key)
+    return tree
+
+
+def assert_same_read(tree, lo, hi):
+    oracle_buffer, kernel_buffer, lazy_buffer = (RecordingBuffer() for _ in range(3))
+    expected = reference_scan(tree, lo, hi, oracle_buffer)
+    assert tree.values_between(lo, hi, kernel_buffer) == [v for _, v in expected]
+    assert kernel_buffer.touches == oracle_buffer.touches
+    assert list(tree.range(lo, hi, lazy_buffer)) == expected
+    assert lazy_buffer.touches == oracle_buffer.touches
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_ops, st.integers(2, 5), st.integers(3, 5), bound, bound)
+def test_values_between_matches_the_entry_scan(ops, leaf, interior, lo, hi):
+    tree = build_tree(ops, leaf, interior)
+    assert_same_read(tree, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_ops, st.integers(2, 5), st.integers(3, 5), st.integers(-1, 9))
+def test_prefix_read_matches_the_entry_scan(ops, leaf, interior, prefix):
+    # Prefixes present and absent: (p,) sorts below every (p, tie) key.
+    tree = build_tree(ops, leaf, interior)
+    assert_same_read(tree, (prefix,), (prefix, PREFIX_TOP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree_ops,
+    st.integers(2, 5),
+    st.integers(3, 5),
+    st.integers(0, 2),
+    st.frozensets(st.integers(-1, 9)),
+)
+def test_values_where_matches_a_filtered_full_scan(ops, leaf, interior, column, wanted):
+    tree = build_tree(ops, leaf, interior)
+    oracle_buffer, kernel_buffer, lazy_buffer = (RecordingBuffer() for _ in range(3))
+    expected = [v for _, v in reference_scan(tree, None, None, oracle_buffer)]
+    assert tree.values_where(column, wanted, kernel_buffer) == [
+        v for _, v in tree.range(context=lazy_buffer) if v[column] in wanted
+    ]
+    assert [v for _, v in tree.range()] == expected
+    assert kernel_buffer.touches == lazy_buffer.touches == oracle_buffer.touches

@@ -261,6 +261,24 @@ class TestContextPool:
         with pytest.raises(ValueError, match="bounded"):
             ExecutionContext(policy="unbounded", shared_buffer=pool.pool)
 
+    def test_pooled_span_trace_is_bounded_by_default(self):
+        pool = ContextPool(8)
+        context = pool.acquire()
+        for _ in range(1000):
+            with context.operation("query"):
+                pass
+        assert len(context.spans) == 256
+        assert context.spans_dropped == 744
+        assert context.op_counts["query"] == 1000
+
+    def test_explicit_none_keeps_every_span(self):
+        context = ContextPool(8, max_spans=None).acquire()
+        for _ in range(300):
+            with context.operation("query"):
+                pass
+        assert len(context.spans) == 300
+        assert context.spans_dropped == 0
+
     def test_contexts_share_residency(self):
         pool = ContextPool(64)
         first = pool.acquire()

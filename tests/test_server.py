@@ -295,6 +295,29 @@ class TestAsyncCore:
         assert written["config"]["async"] is True
 
 
+class TestStartupRaces:
+    def test_sigterm_drains_even_during_start(self, tmp_path, monkeypatch):
+        # start() publishes the address and runs ops, so a SIGTERM may
+        # arrive before it returns; it must already find the drain handler.
+        instance = ServeDaemon(tiny_config(tmp_path))
+        seen = {}
+
+        def start():
+            seen["handler"] = signal.getsignal(signal.SIGTERM)
+            raise RuntimeError("stop before serving")
+
+        monkeypatch.setattr(instance, "start", start)
+        saved = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        try:
+            with pytest.raises(RuntimeError):
+                instance.run()
+        finally:
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
+        assert callable(seen["handler"])
+        assert seen["handler"] is not saved[signal.SIGTERM]
+
+
 class TestServeCLI:
     def test_daemon_serves_and_drains_on_sigterm(self, tmp_path):
         addr_file = tmp_path / "serve.addr"
